@@ -17,17 +17,18 @@ Scale-mismatched pairs (different nodes/messages/runs/seed/quick) are
 skipped with a notice instead of compared: throughput is only meaningful at
 identical scale.
 
-Renamed drivers keep their baselines: RENAMED_BENCHES maps an old baseline
-file name to the name the driver emits today, so a rename does not silently
-drop the record out of the gate (an old-named baseline whose new-named fresh
-record exists is compared under the new name).
+A baseline with no fresh record fails the gate: a deleted or broken driver
+must not drop its record out of the gate silently. Delete the baseline
+together with its driver. Renamed drivers keep their baselines:
+RENAMED_BENCHES maps an old baseline file name to the name the driver emits
+today (an old-named baseline whose new-named fresh record exists is
+compared under the new name).
 
 Per-phase timing fields (phase_seconds_*, emitted by the Experiment-driven
-drivers) and A/B ratio fields (speedup_*, emitted by the calendar_queue
-scheduler driver) are informational: they are reported when both records
-carry them but never gate — walls and ratios of walls are too machine-noisy
-to fail on. Per-structure throughputs (*_events_per_second, e.g. the
-scheduler A/B's heap/calendar rates) gate exactly like the aggregate.
+drivers) are informational: they are reported when both records carry them
+but never gate — walls are too machine-noisy to fail on. Per-path
+throughputs (*_events_per_second, e.g. micro_sim_events' deliver/timer
+rates) gate exactly like the aggregate.
 
 Baselines are machine-relative. Refresh them on the reference machine with:
 
@@ -52,24 +53,21 @@ SCALE_KEYS = ("nodes", "messages", "runs", "seed", "quick")
 RENAMED_BENCHES = {}
 
 # Informational per-record fields: reported, never gated. phase_seconds_*
-# are too machine-noisy to fail on; speedup_* (the scheduler A/B driver's
-# calendar-vs-heap and drain-batching ratios) are ratios of two noisy walls.
-# The adversarial driver's overlay-health fields (eclipse_*,
-# honest_component_*, reliability_*) are deterministic measurements, not
-# throughputs — drift there is a behavior change to investigate, not a perf
-# regression to gate on. Same for the pub/sub driver's traffic fields
+# are too machine-noisy to fail on. The adversarial driver's overlay-health
+# fields (eclipse_*, honest_component_*, reliability_*) are deterministic
+# measurements, not throughputs — drift there is a behavior change to
+# investigate, not a perf regression to gate on. Same for the pub/sub driver's traffic fields
 # (bytes_on_wire_*, latency_to_last_*): the hard gate for those lives in
 # the driver itself (Plumtree-vs-eager reduction check) and in the exact
 # *_events comparison below.
-INFO_FIELD_PREFIXES = ("phase_seconds_", "speedup_", "eclipse_",
-                       "honest_component_", "reliability_",
-                       "bytes_on_wire_", "latency_to_last_")
+INFO_FIELD_PREFIXES = ("phase_seconds_", "eclipse_", "honest_component_",
+                       "reliability_", "bytes_on_wire_", "latency_to_last_")
 PHASE_FIELD_PREFIX = "phase_seconds_"
 
-# Per-structure throughput fields (e.g. the calendar_queue driver's
-# heap_events_per_second / calendar_events_per_second) gate exactly like the
-# aggregate events_per_second: a regression in one scheduler must not hide
-# inside a combined-run aggregate.
+# Per-path throughput fields (e.g. micro_sim_events'
+# deliver_events_per_second) gate exactly like the aggregate
+# events_per_second: a regression in one path must not hide inside a
+# combined-run aggregate.
 RATE_FIELD_SUFFIX = "_events_per_second"
 
 
@@ -128,7 +126,11 @@ def main() -> int:
     for name, base_path in sorted(baselines.items()):
         fresh_name = RENAMED_BENCHES.get(name, name)
         if fresh_name not in fresh:
-            print(f"bench_compare: SKIP {name}: not emitted by this run")
+            failures.append(
+                f"{name}: baseline has no fresh record — the driver did not "
+                "run or no longer emits it (delete the baseline with its "
+                "driver, or map a rename in RENAMED_BENCHES)")
+            print(f"bench_compare: FAIL {name}: not emitted by this run")
             continue
         if fresh_name != name:
             print(f"bench_compare: NOTE {name}: driver renamed, comparing "
@@ -162,8 +164,8 @@ def main() -> int:
             print(f"bench_compare: {verdict} {name}: {rate_key} "
                   f"{base_eps:,.0f} → {new_eps:,.0f} ({ratio:.2f}x)")
 
-        # Informational fields (phase walls, A/B speedup ratios): reported
-        # when both records carry them, never gated.
+        # Informational fields (phase walls): reported when both records
+        # carry them, never gated.
         info_keys = sorted(k for k in new
                            if k.startswith(INFO_FIELD_PREFIXES) and k in base)
         for key in info_keys:
@@ -220,7 +222,7 @@ def main() -> int:
               "failure so CI cannot silently lose the gate")
         return 1
     if failures:
-        print("\nbench_compare: PERF REGRESSION:")
+        print("\nbench_compare: GATE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1

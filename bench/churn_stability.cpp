@@ -38,10 +38,11 @@ int main() {
       churn.graceful_fraction = 0.5;
       churn.probes_per_cycle = 2;
 
-      auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
+      auto cluster = harness::Cluster::sim(
+          harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed));
       const auto result =
           cluster.run(harness::Experiment("churn_stability")
-                          .stabilize(50, bench::env_cycle_options())
+                          .stabilize(50)
                           .churn(churn, "churn"));
       const harness::ChurnStats& stats = result.phase("churn").churn;
 

@@ -12,8 +12,8 @@
 // seed (pinned by experiment_test).
 //
 // The phase programs load from the committed specs/fig1.json and
-// specs/fig1_reference.json; only the scale-dependent knobs (broadcast
-// counts, cycle batching) are patched from the env.
+// specs/fig1_reference.json; only the scale-dependent knob (broadcast
+// counts) is patched from the env.
 #include "bench_common.hpp"
 
 using namespace hyparview;
@@ -25,14 +25,12 @@ std::string fanout_label(std::size_t fanout) {
 }
 
 /// Loads specs/<name>.json and rescales it: broadcast counts follow
-/// HPV_MSGS, membership rounds follow HPV_CYCLE_BATCH.
+/// HPV_MSGS.
 harness::Experiment scaled_spec(const std::string& name,
                                 std::size_t messages) {
   harness::Experiment spec = bench::load_spec_experiment(name);
   for (auto& phase : spec.mutable_phases()) {
-    if (phase.kind == harness::Experiment::PhaseKind::kCycles) {
-      phase.cycle_options = bench::env_cycle_options();
-    } else if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
+    if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
       phase.count = messages;
     }
   }
@@ -56,7 +54,8 @@ int main() {
        {harness::ProtocolKind::kCyclon, harness::ProtocolKind::kScamp}) {
     for (std::size_t run = 0; run < scale.runs; ++run) {
       bench::Stopwatch watch;
-      auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed + run);
+      auto cluster = harness::Cluster::sim(harness::NetworkConfig::defaults_for(
+          kind, scale.nodes, scale.seed + run));
       const auto result = cluster.run(spec);
 
       for (const std::size_t fanout : fanouts) {
@@ -86,8 +85,8 @@ int main() {
 
   // HyParView reference: flood of the active view (fanout column = |active|-1).
   {
-    auto cluster = bench::sim_cluster(harness::ProtocolKind::kHyParView,
-                                      scale.nodes, scale.seed);
+    auto cluster = harness::Cluster::sim(harness::NetworkConfig::defaults_for(
+        harness::ProtocolKind::kHyParView, scale.nodes, scale.seed));
     const auto result =
         cluster.run(scaled_spec("fig1_reference", scale.messages));
     bench_json.add_events(cluster->events_processed());

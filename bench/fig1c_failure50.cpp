@@ -22,10 +22,11 @@ int main() {
   for (const auto kind :
        {harness::ProtocolKind::kCyclon, harness::ProtocolKind::kScamp}) {
     bench::Stopwatch watch;
-    auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
+    auto cluster = harness::Cluster::sim(
+        harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed));
     const auto result =
         cluster.run(harness::Experiment("fig1c")
-                        .stabilize(50, bench::env_cycle_options())
+                        .stabilize(50)
                         .crash(0.5)
                         .broadcast(scale.messages, "measure"));
     columns.push_back(result.phase("measure").reliabilities);

@@ -52,12 +52,12 @@ int main() {
   jobs.reserve(series.size());
   for (Series& s : series) {
     jobs.push_back([&, p = &s] {
-      auto cluster = bench::sim_cluster(
+      auto cluster = harness::Cluster::sim(harness::NetworkConfig::defaults_for(
           p->kind, scale.nodes,
-          scale.seed + static_cast<std::uint64_t>(p->fraction * 100));
+          scale.seed + static_cast<std::uint64_t>(p->fraction * 100)));
       const auto result =
           cluster.run(harness::Experiment("fig3_series")
-                          .stabilize(50, bench::env_cycle_options())
+                          .stabilize(50)
                           .crash(p->fraction)
                           .broadcast(scale.messages, "evolution"));
       p->rels = result.phase("evolution").reliabilities;

@@ -17,9 +17,10 @@ int main() {
 
   for (const auto kind : harness::all_protocol_kinds()) {
     bench::Stopwatch watch;
-    auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
+    auto cluster = harness::Cluster::sim(
+        harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed));
     cluster.run(harness::Experiment("fig5_stabilize")
-                    .stabilize(50, bench::env_cycle_options()));
+                    .stabilize(50));
     const auto g = cluster->dissemination_graph(false);
     const auto hist = graph::in_degree_histogram(g);
     std::printf("\n%s (built in %.1fs):\n", harness::kind_name(kind),

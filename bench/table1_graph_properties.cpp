@@ -35,9 +35,10 @@ int main() {
 
   for (const auto& row : rows) {
     bench::Stopwatch watch;
-    auto cluster = bench::sim_cluster(row.kind, scale.nodes, scale.seed);
+    auto cluster = harness::Cluster::sim(harness::NetworkConfig::defaults_for(
+        row.kind, scale.nodes, scale.seed));
     cluster.run(harness::Experiment("table1_stabilize")
-                    .stabilize(50, bench::env_cycle_options()));
+                    .stabilize(50));
 
     const auto g = cluster->dissemination_graph(false);
     const double clustering =

@@ -7,6 +7,8 @@
 //   HPV_RUNS   — independent repetitions to aggregate (default 1)
 //   HPV_SEED   — master seed (default 42)
 //   HPV_QUICK  — =1 shrinks to a 1000-node / 100-message smoke setup
+// A negative value throws CheckError naming the variable; a malformed one
+// falls back to the default.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,8 @@ struct BenchScale {
   bool quick = false;
 
   /// Reads the environment; `default_messages` is the paper's per-figure
-  /// message count.
+  /// message count. Throws CheckError on a negative HPV_NODES, HPV_MSGS,
+  /// HPV_RUNS or HPV_SEED.
   [[nodiscard]] static BenchScale from_env(std::size_t default_messages);
 };
 

@@ -1,8 +1,13 @@
 #include "hyparview/harness/spec_json.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -67,6 +72,25 @@ class ObjectReader {
 
   [[nodiscard]] std::size_t require_size(std::string_view key) {
     return to_size(require(key), key);
+  }
+
+  /// A count that must be at least 1 (window capacities).
+  [[nodiscard]] std::size_t get_positive_size(std::string_view key,
+                                              std::size_t fallback) {
+    const std::size_t n = get_size(key, fallback);
+    HPV_CHECK_THROW(n > 0, "spec: " + key_path(key) + ": must be at least 1");
+    return n;
+  }
+
+  /// A `*_ms` duration: milliseconds in [0, INT64_MAX / 1000], so the
+  /// conversion to microsecond Duration cannot overflow.
+  [[nodiscard]] Duration get_ms(std::string_view key, Duration fallback) {
+    const std::int64_t ms = get_int(key, fallback / 1000);
+    HPV_CHECK_THROW(
+        ms >= 0 && ms <= std::numeric_limits<std::int64_t>::max() / 1000,
+        "spec: " + key_path(key) + ": expected 0.." +
+            std::to_string(std::numeric_limits<std::int64_t>::max() / 1000));
+    return milliseconds(ms);
   }
 
   [[nodiscard]] std::uint8_t get_u8(std::string_view key,
@@ -248,10 +272,9 @@ void load_gossip(const json::Value& v, const std::string& path,
                       payload <= std::numeric_limits<std::uint32_t>::max(),
                   "spec: " + path + ".payload_size: out of range");
   cfg.payload_size = static_cast<std::uint32_t>(payload);
-  cfg.dedup_window = r.get_size("dedup_window", cfg.dedup_window);
-  cfg.cache_window = r.get_size("cache_window", cfg.cache_window);
-  cfg.graft_timeout = milliseconds(
-      r.get_int("graft_timeout_ms", cfg.graft_timeout / 1000));
+  cfg.dedup_window = r.get_positive_size("dedup_window", cfg.dedup_window);
+  cfg.cache_window = r.get_positive_size("cache_window", cfg.cache_window);
+  cfg.graft_timeout = r.get_ms("graft_timeout_ms", cfg.graft_timeout);
   cfg.reroute_on_failure =
       r.get_bool("reroute_on_failure", cfg.reroute_on_failure);
   cfg.explicit_acks = r.get_bool("explicit_acks", cfg.explicit_acks);
@@ -292,8 +315,6 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
       kind, nodes, static_cast<std::uint64_t>(seed));
   cfg.fanout = r.get_size("fanout", cfg.fanout);
   cfg.gossip.fanout = cfg.fanout;
-  cfg.build_options.join_batch =
-      r.get_size("join_batch", cfg.build_options.join_batch);
   if (const json::Value* sub = r.get("hyparview")) {
     load_hyparview(*sub, r.key_path("hyparview"), cfg.hyparview);
   }
@@ -341,18 +362,14 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   cfg.adversary = net.adversary;
 
   if (r) {
-    cfg.join_settle =
-        milliseconds(r->get_int("join_settle_ms", cfg.join_settle / 1000));
-    cfg.cycle_settle =
-        milliseconds(r->get_int("cycle_settle_ms", cfg.cycle_settle / 1000));
-    cfg.leave_settle =
-        milliseconds(r->get_int("leave_settle_ms", cfg.leave_settle / 1000));
-    cfg.settle_window =
-        milliseconds(r->get_int("settle_window_ms", cfg.settle_window / 1000));
-    cfg.broadcast_timeout = milliseconds(
-        r->get_int("broadcast_timeout_ms", cfg.broadcast_timeout / 1000));
-    cfg.broadcast_quiet_window = milliseconds(r->get_int(
-        "broadcast_quiet_window_ms", cfg.broadcast_quiet_window / 1000));
+    cfg.join_settle = r->get_ms("join_settle_ms", cfg.join_settle);
+    cfg.cycle_settle = r->get_ms("cycle_settle_ms", cfg.cycle_settle);
+    cfg.leave_settle = r->get_ms("leave_settle_ms", cfg.leave_settle);
+    cfg.settle_window = r->get_ms("settle_window_ms", cfg.settle_window);
+    cfg.broadcast_timeout =
+        r->get_ms("broadcast_timeout_ms", cfg.broadcast_timeout);
+    cfg.broadcast_quiet_window =
+        r->get_ms("broadcast_quiet_window_ms", cfg.broadcast_quiet_window);
     const std::int64_t port = r->get_int("stats_port", cfg.stats_port);
     HPV_CHECK_THROW(port >= -1 && port <= 65535,
                     "spec: " + path + ".stats_port: expected -1..65535");
@@ -387,9 +404,7 @@ void load_phase(Experiment& spec, const json::Value& v,
   // Phases go through the same builder calls the C++ drivers make, so a
   // loaded spec is *constructed* identically, not merely equal.
   if (kind == "stabilize" || kind == "cycles") {
-    CycleOptions options;
-    options.batch = r.get_size("batch", options.batch);
-    spec.cycles(r.require_size("cycles"), options,
+    spec.cycles(r.require_size("cycles"),
                 r.get_string("label", kind == "stabilize" ? "stabilize"
                                                           : "cycles"));
   } else if (kind == "set_fanout") {
@@ -402,10 +417,8 @@ void load_phase(Experiment& spec, const json::Value& v,
   } else if (kind == "broadcast") {
     spec.broadcast(r.require_size("count"), r.get_string("label", "broadcast"));
   } else if (kind == "heal_until") {
-    CycleOptions options;
-    options.batch = r.get_size("batch", options.batch);
     spec.heal_until(r.require_string("baseline"), r.require_size("max_cycles"),
-                    r.require_size("probes_per_cycle"), options,
+                    r.require_size("probes_per_cycle"),
                     r.get_string("label", "heal"));
   } else if (kind == "churn") {
     ChurnConfig cfg;
@@ -466,7 +479,6 @@ json::Value phase_to_json(const Experiment::Phase& p) {
   switch (p.kind) {
     case PK::kCycles:
       o.set("cycles", p.cycles);
-      o.set("batch", p.cycle_options.batch);
       break;
     case PK::kSetFanout:
       o.set("fanout", p.fanout);
@@ -485,7 +497,6 @@ json::Value phase_to_json(const Experiment::Phase& p) {
       o.set("baseline", p.baseline_label);
       o.set("max_cycles", p.cycles);
       o.set("probes_per_cycle", p.count);
-      o.set("batch", p.cycle_options.batch);
       break;
     case PK::kChurn:
       o.set("cycles", p.churn.cycles);
@@ -530,7 +541,6 @@ json::Value network_to_json(const NetworkConfig& cfg) {
   net.set("nodes", cfg.node_count);
   net.set("seed", cfg.seed);
   net.set("fanout", cfg.fanout);
-  net.set("join_batch", cfg.build_options.join_batch);
 
   json::Value hv = json::Value::object();
   hv.set("active_capacity", cfg.hyparview.active_capacity);
@@ -687,138 +697,6 @@ json::Value spec_to_json(const RunSpec& spec) {
   return doc;
 }
 
-namespace {
-
-/// Paper scale: the values BenchScale defaults to when no HPV_* override is
-/// set — the committed specs describe the full reproduction, and the
-/// drivers scale the loaded program down via mutable_phases() for smoke
-/// runs, exactly as they scaled their hardcoded programs before.
-constexpr std::size_t kPaperNodes = 10'000;
-constexpr std::size_t kTcpNodes = 32;  ///< adversarial_attacks TCP leg
-constexpr std::uint64_t kSeed = 42;
-
-RunSpec adversarial_builtin(AttackKind attack) {
-  RunSpec spec;
-  spec.name = std::string("adversarial_") + attack_name(attack);
-  spec.net =
-      NetworkConfig::defaults_for(ProtocolKind::kHyParView, kPaperNodes, kSeed);
-  spec.net.adversary.attack = attack;
-  spec.net.adversary.fraction = 0.10;
-  spec.tcp =
-      TcpBackendConfig::defaults_for(ProtocolKind::kHyParView, kTcpNodes, kSeed);
-  spec.tcp.adversary = spec.net.adversary;
-
-  // Mirrors attack_spec() in bench/adversarial_attacks.cpp before the
-  // migration: stabilize, (sybil flood,) attack pressure, measure.
-  Experiment exp(spec.name);
-  exp.stabilize(20);
-  if (attack == AttackKind::kSybil) {
-    exp.sybil_burst(spec.net.adversary.sybils_per_burst);
-  }
-  exp.cycles(10, {}, "pressure");
-  exp.broadcast(100, "after");
-  spec.experiment = std::move(exp);
-  return spec;
-}
-
-RunSpec pubsub_builtin(gossip::Engine engine) {
-  RunSpec spec;
-  spec.name = engine == gossip::Engine::kPlumtree ? "pubsub_plumtree"
-                                                  : "pubsub_eager";
-  spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                         kPaperNodes, kSeed);
-  spec.net.gossip.engine = engine;
-  // Sustained streams keep sources × rate messages in flight per tick, with
-  // duplicates (and IHave/Graft repair for Plumtree) of earlier ticks still
-  // arriving; the discrete-wave 128 default of defaults_for under-remembers
-  // that horizon and re-delivers evicted ids (dedup window regression test
-  // pins the failure). Size both per-node windows well past the stream.
-  spec.net.gossip.dedup_window = 4096;
-  spec.net.gossip.cache_window = 4096;
-  spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                            kTcpNodes, kSeed);
-  spec.tcp.gossip = spec.net.gossip;
-
-  // Steady-state streams first (the bytes-on-wire comparison window), then
-  // the same streams under a 25% midpoint crash (tree repair under churn).
-  Experiment exp(spec.name);
-  exp.stabilize(50);
-  PubSubConfig steady;
-  steady.sources = 8;
-  steady.ticks = 25;
-  steady.rate = 2;
-  steady.cycles_per_tick = 1;
-  exp.pubsub(steady, "steady");
-  PubSubConfig churned = steady;
-  churned.ticks = 10;
-  churned.churn_fraction = 0.25;
-  exp.pubsub(churned, "churn");
-  spec.experiment = std::move(exp);
-  return spec;
-}
-
-}  // namespace
-
-RunSpec builtin_spec(std::string_view name) {
-  RunSpec spec;
-  spec.name = std::string(name);
-  if (name == "fig1") {
-    // Fig. 1(a)(b) fanout sweep (bench/fig1_fanout_reliability.cpp): the
-    // network section carries Cyclon as the representative sweep subject;
-    // the driver swaps the protocol per leg and reuses the phase program.
-    spec.net =
-        NetworkConfig::defaults_for(ProtocolKind::kCyclon, kPaperNodes, kSeed);
-    spec.tcp =
-        TcpBackendConfig::defaults_for(ProtocolKind::kCyclon, kTcpNodes, kSeed);
-    Experiment exp(spec.name);
-    exp.stabilize(50);
-    for (std::size_t fanout = 1; fanout <= 8; ++fanout) {
-      exp.set_fanout(fanout).broadcast(50, "fanout" + std::to_string(fanout));
-    }
-    spec.experiment = std::move(exp);
-  } else if (name == "fig1_reference") {
-    // HyParView's deterministic flood — the reference row of Fig. 1.
-    spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                           kPaperNodes, kSeed);
-    spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                              kTcpNodes, kSeed);
-    spec.experiment =
-        Experiment(spec.name).stabilize(50).broadcast(50, "flood");
-  } else if (name == "fig2") {
-    // One Fig. 2 sweep point (bench/fig2_reliability_vs_failures.cpp); the
-    // committed fraction is the 50% midpoint — the driver rewrites it per
-    // point on the loaded program (see Experiment::mutable_phases).
-    spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                           kPaperNodes, kSeed);
-    spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                              kTcpNodes, kSeed);
-    spec.experiment = Experiment(spec.name)
-                          .stabilize(50)
-                          .crash(0.5)
-                          .broadcast(1000, "measure");
-  } else if (name == "pubsub_plumtree") {
-    spec = pubsub_builtin(gossip::Engine::kPlumtree);
-  } else if (name == "pubsub_eager") {
-    spec = pubsub_builtin(gossip::Engine::kEager);
-  } else if (name == "adversarial_poison") {
-    spec = adversarial_builtin(AttackKind::kPoison);
-  } else if (name == "adversarial_drop") {
-    spec = adversarial_builtin(AttackKind::kDrop);
-  } else if (name == "adversarial_sybil") {
-    spec = adversarial_builtin(AttackKind::kSybil);
-  } else {
-    throw CheckError("unknown builtin spec '" + std::string(name) +
-                     "' (see builtin_spec_names)");
-  }
-  return spec;
-}
-
-std::vector<std::string> builtin_spec_names() {
-  return {"fig1",           "fig1_reference",     "fig2",
-          "pubsub_plumtree", "pubsub_eager",      "adversarial_poison",
-          "adversarial_drop", "adversarial_sybil"};
-}
-
 std::string spec_dir() {
   if (const auto v = env_string("HPV_SPEC_DIR")) return *v;
 #ifdef HPV_SPEC_DIR
@@ -830,6 +708,33 @@ std::string spec_dir() {
 
 std::string spec_path(std::string_view name) {
   return spec_dir() + "/" + std::string(name) + ".json";
+}
+
+std::vector<std::string> spec_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(spec_dir())) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  // Directory order is unspecified; sort so listings are reproducible.
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string canonical_spec_text(const std::string& path) {
+  return spec_to_json(load_spec_file(path)).dump(2);
+}
+
+void check_canonical_spec_file(const std::string& path) {
+  const std::string canonical = canonical_spec_text(path);
+  std::ifstream in(path, std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  HPV_CHECK_THROW(text == canonical,
+                  path + ": not in canonical form; regenerate with: "
+                         "hpv_run --emit=" + path + " > " + path +
+                      ".tmp && mv " + path + ".tmp " + path);
 }
 
 }  // namespace hyparview::harness

@@ -16,7 +16,6 @@
 //     "network": {                       // sim substrate + protocol params
 //       "protocol": "HyParView" | "Cyclon" | "CyclonAcked" | "Scamp",
 //       "nodes": 10000, "seed": 42, "fanout": 4,
-//       "join_batch": 1,                 // bootstrap batching (bench mode)
 //       "hyparview":  { active_capacity, passive_capacity, arwl, prwl,
 //                       shuffle_ka, shuffle_kp, shuffle_ttl,
 //                       promote_on_any_slot, warm_cache_size },
@@ -26,7 +25,8 @@
 //       "scamp":      { c, forward_ttl, lease_cycles,
 //                       heartbeat_period_cycles, isolation_timeout_cycles,
 //                       purge_on_unreachable },
-//       "gossip":     { payload_size, dedup_window, reroute_on_failure,
+//       "gossip":     { engine, payload_size, dedup_window, cache_window,
+//                       graft_timeout_ms, reroute_on_failure,
 //                       explicit_acks },
 //       "adversary":  { "attack": "none"|"poison"|"drop"|"sybil",
 //                       fraction, poison_per_cycle, poison_entries,
@@ -40,13 +40,13 @@
 //       "stats_port": -1                 // -1 off, 0 ephemeral, else fixed
 //     },
 //     "phases": [                        // required; Experiment::from_json
-//       {"kind": "stabilize"|"cycles", "cycles": 50, "batch": 1, "label": ...},
+//       {"kind": "stabilize"|"cycles", "cycles": 50, "label": ...},
 //       {"kind": "set_fanout", "fanout": 4, ...},
 //       {"kind": "crash", "fraction": 0.5, ...},
 //       {"kind": "leave", "count": 10, "graceful_fraction": 0.5, ...},
 //       {"kind": "broadcast", "count": 1000, ...},
 //       {"kind": "heal_until", "baseline": "measure", "max_cycles": 60,
-//        "probes_per_cycle": 10, "batch": 1, ...},
+//        "probes_per_cycle": 10, ...},
 //       {"kind": "churn", "cycles": 50, "joins_per_cycle": 10,
 //        "leaves_per_cycle": 10, "graceful_fraction": 0.5,
 //        "probes_per_cycle": 2, ...},
@@ -59,9 +59,14 @@
 //     ]
 //   }
 //
-// Every phase accepts a "label". Committed specs live in specs/ at the repo
-// root; spec_path() resolves them (HPV_SPEC_DIR overrides the compiled-in
-// location, so installed binaries and test sandboxes can relocate them).
+// Every phase accepts a "label". Every `*_ms` value must lie in
+// [0, INT64_MAX / 1000] and every window size must be at least 1.
+//
+// Committed specs live in specs/ at the repo root; spec_path() resolves them
+// (HPV_SPEC_DIR overrides the compiled-in location, so installed binaries
+// and test sandboxes can relocate them). They are the only source of each
+// spec, kept in canonical form (check_canonical_spec_file, run by
+// `hpv_run --validate`; `hpv_run --emit` prints that form).
 //
 // Determinism note: loaders construct configs via the same defaults_for
 // factories and Experiment builder calls the C++ drivers use, so a spec that
@@ -113,22 +118,24 @@ struct RunSpec {
 [[nodiscard]] AdversaryConfig adversary_config_from_json(
     const json::Value& v, std::string_view path = "adversary");
 
-/// Canonical C++-built equivalents of the committed spec files — the exact
-/// configs + phase programs the historical drivers hardcoded, at paper
-/// scale. spec_json_test pins each committed specs/<name>.json byte-equal
-/// to spec_to_json(builtin_spec(name)).dump(2), and `hpv_run --emit <name>`
-/// regenerates a file after a schema change. Throws CheckError on unknown
-/// names.
-[[nodiscard]] RunSpec builtin_spec(std::string_view name);
-
-/// Every name builtin_spec accepts (one per committed spec file).
-[[nodiscard]] std::vector<std::string> builtin_spec_names();
-
 /// Directory holding the committed spec files: $HPV_SPEC_DIR when set, else
 /// the compiled-in source-tree specs/ directory.
 [[nodiscard]] std::string spec_dir();
 
 /// spec_dir() + "/<name>.json".
 [[nodiscard]] std::string spec_path(std::string_view name);
+
+/// Stems of the *.json files in spec_dir(), sorted: the committed spec
+/// names (`hpv_run --list`).
+[[nodiscard]] std::vector<std::string> spec_names();
+
+/// The canonical form of the spec file at `path`:
+/// spec_to_json(load_spec_file(path)).dump(2) (`hpv_run --emit`).
+[[nodiscard]] std::string canonical_spec_text(const std::string& path);
+
+/// Throws CheckError (naming the file and the regenerate command) unless
+/// the file at `path` is byte-equal to its canonical_spec_text —
+/// `hpv_run --validate`.
+void check_canonical_spec_file(const std::string& path);
 
 }  // namespace hyparview::harness

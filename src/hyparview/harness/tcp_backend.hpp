@@ -113,8 +113,7 @@ class TcpBackend final : public Backend {
   void leave_node(std::size_t i, bool graceful) override;
 
   using Backend::run_cycles;
-  /// One settle window per round — real time has no quiescence, so
-  /// CycleOptions::batch (a sim-drain concept) is accepted but moot.
+  /// One settle window per round — real time has no quiescence.
   void run_cycles(std::size_t n, const CycleOptions& options) override;
 
   void settle() override { wait(config_.settle_window); }

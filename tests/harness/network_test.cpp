@@ -1,6 +1,10 @@
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "hyparview/graph/metrics.hpp"
 #include "hyparview/harness/scale.hpp"
@@ -43,7 +47,7 @@ TEST(NetworkConfigTest, GossipModePerProtocol) {
 
 TEST(NetworkTest, BuildJoinsEveryNode) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 1);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   EXPECT_EQ(net.node_count(), 100u);
   EXPECT_EQ(net.alive_count(), 100u);
@@ -55,7 +59,7 @@ TEST(NetworkTest, BuildJoinsEveryNode) {
 
 TEST(NetworkTest, FailRandomFractionCrashesExactCount) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 2);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.3);
   EXPECT_EQ(net.alive_count(), 70u);
@@ -65,7 +69,7 @@ TEST(NetworkTest, FailRandomFractionCrashesExactCount) {
 
 TEST(NetworkTest, FailZeroAndValidation) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.0);
   EXPECT_EQ(net.alive_count(), 64u);
@@ -74,7 +78,7 @@ TEST(NetworkTest, FailZeroAndValidation) {
 
 TEST(NetworkTest, BroadcastRecordsReliability) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 4);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   const auto result = net.broadcast_one();
@@ -86,7 +90,7 @@ TEST(NetworkTest, BroadcastRecordsReliability) {
 
 TEST(NetworkTest, BroadcastManyCollectsSequentialResults) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 128, 5);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   const auto results = net.broadcast_many(5);
@@ -99,7 +103,7 @@ TEST(NetworkTest, BroadcastManyCollectsSequentialResults) {
 
 TEST(NetworkTest, DissemGraphAliveOnlyFiltersDead) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 6);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.5);
   const auto full = net.dissemination_graph(false);
@@ -111,7 +115,7 @@ TEST(NetworkTest, DissemGraphAliveOnlyFiltersDead) {
 
 TEST(NetworkTest, ViewAccuracyDropsAfterFailures) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 128, 7);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   EXPECT_NEAR(net.view_accuracy(), 1.0, 1e-9);
@@ -123,7 +127,7 @@ TEST(NetworkTest, ViewAccuracyDropsAfterFailures) {
 
 TEST(NetworkTest, AliveMaskMatchesSimulator) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 32, 8);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.25);
   const auto mask = net.alive_mask();
@@ -137,7 +141,7 @@ TEST(NetworkTest, AddNodeFailsFastWhenNoAliveContactExists) {
   // loop when the joiner was the only alive node (every draw came back as
   // the joiner itself). It must fail fast instead.
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 4, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(1.0);
   ASSERT_EQ(net.alive_count(), 0u);
@@ -148,7 +152,7 @@ TEST(NetworkTest, AddNodeFailsFastWhenNoAliveContactExists) {
 
 TEST(NetworkTest, AddNodeStillWorksWithOneSurvivor) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 4, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   // Kill everyone but node 0: the joiner's only possible contact.
   for (std::size_t i = 1; i < net.node_count(); ++i) {
@@ -160,34 +164,47 @@ TEST(NetworkTest, AddNodeStillWorksWithOneSurvivor) {
       net.protocol(joined).dissemination_view().empty());
 }
 
-TEST(NetworkTest, BatchedBuildProducesAConnectedOverlay) {
-  // join_batch > 1 overlaps join traffic (bench mode): different event
-  // interleaving, same macroscopic result — every node joined, broadcast
-  // reaches everyone.
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 96, 11);
-  Network net(cfg);
-  net.build(BuildOptions{/*join_batch=*/16});
-  net.run_cycles(5);
-  EXPECT_EQ(net.alive_count(), 96u);
-  EXPECT_DOUBLE_EQ(net.broadcast_one().reliability(), 1.0);
-}
+TEST(NetworkTest, BuildBitIdenticalToSerialJoinThenDrainLoop) {
+  // The paper's bootstrap written out by hand on a bare simulator: every
+  // node joins through node 0 and its traffic fully drains before the next
+  // join. build() retires each join with a bounded (watermark) drain
+  // instead; on an otherwise empty queue the two must not differ by one
+  // event.
+  const auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 5);
+  SimBackend built(cfg);
+  built.build();
 
-TEST(NetworkTest, SerialBuildIsDefaultAndMatchesExplicitBatchOne) {
-  // build() and build({.join_batch = 1}) must be bit-identical: the
-  // watermark drains degenerate to full drains on an empty queue.
-  const auto digest = [](const BuildOptions& opts) {
-    auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 64, 5);
-    Network net(cfg);
-    net.build(opts);
-    return std::pair{net.simulator().events_processed(),
-                     net.simulator().bytes_sent()};
+  sim::Simulator sim(cfg.sim);
+  std::vector<std::unique_ptr<gossip::NodeRuntime>> runtimes;
+  for (std::size_t i = 0; i < cfg.node_count; ++i) {
+    const NodeId id = sim.add_node(nullptr);
+    runtimes.push_back(std::make_unique<gossip::NodeRuntime>(
+        sim.env(id),
+        std::make_unique<core::HyParView>(sim.env(id), cfg.hyparview),
+        cfg.gossip, nullptr));
+    sim.set_handler(id, runtimes.back().get());
+  }
+  for (std::size_t i = 0; i < runtimes.size(); ++i) {
+    runtimes[i]->protocol().start(
+        i == 0 ? std::nullopt : std::optional<NodeId>(NodeId::from_index(0)));
+    sim.run_until_quiescent();
+  }
+
+  EXPECT_EQ(built.simulator().events_processed(), sim.events_processed());
+  EXPECT_EQ(built.simulator().bytes_sent(), sim.bytes_sent());
+  const auto view = [](const membership::Protocol& p) {
+    const auto v = p.dissemination_view();
+    return std::vector<NodeId>(v.begin(), v.end());
   };
-  EXPECT_EQ(digest(BuildOptions{}), digest(BuildOptions{1}));
+  for (std::size_t i = 0; i < runtimes.size(); ++i) {
+    EXPECT_EQ(view(built.protocol(i)), view(runtimes[i]->protocol()))
+        << "node " << i;
+  }
 }
 
 TEST(NetworkTest, RejectsTinyNetworks) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 1, 9);
-  EXPECT_THROW(Network net(cfg), CheckError);
+  EXPECT_THROW(SimBackend net(cfg), CheckError);
 }
 
 TEST(HealingTest, HealthyNetworkHealsInstantly) {
@@ -226,7 +243,7 @@ TEST(HealingTest, CyclonAckedHealsWithinAFewCyclesAtModerateFailure) {
 
 TEST(NetworkTest, SetFanoutRaisesRandomGossipReliability) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 400, 13);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
 

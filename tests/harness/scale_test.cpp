@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hyparview/common/assert.hpp"
+
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -107,6 +109,23 @@ TEST_F(BenchScaleTest, FloorsProtectDegenerateValues) {
   const auto s = BenchScale::from_env(500);
   EXPECT_EQ(s.nodes, 16u);  // minimum viable overlay
   EXPECT_EQ(s.runs, 1u);
+}
+
+TEST_F(BenchScaleTest, NegativeValuesThrowNamingTheVariable) {
+  // Cast to size_t, -1 becomes ~1.8e19: past every floor, into a giant
+  // reserve.
+  for (const char* var : {"HPV_NODES", "HPV_MSGS", "HPV_RUNS", "HPV_SEED"}) {
+    SCOPED_TRACE(var);
+    set(var, "-1");
+    try {
+      (void)BenchScale::from_env(500);
+      ADD_FAILURE() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(var);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // JSON spec codec tests.
 //
 // Four pins, in increasing strength:
-//  1. every committed specs/<name>.json is byte-equal to its canonical
-//     C++-built spec (builtin_spec) — a drifted file or schema change
-//     fails here with the regeneration command in the message;
+//  1. every committed specs/*.json is in canonical form — byte-equal to
+//     spec_to_json(load_spec_file(path)).dump(2) — and a non-canonical
+//     document is rejected by the same check (`hpv_run --validate`);
 //  2. a spec loaded from JSON runs bit-identical (event counts) to the
 //     same experiment hand-built through the Experiment builder API;
 //  3. randomized phase programs survive to_json → dump → parse →
@@ -12,7 +12,6 @@
 //     (a typo must fail the run, not silently fall back to a default).
 #include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,37 +23,34 @@
 namespace hyparview::harness {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-TEST(SpecJsonTest, CommittedFilesPinnedToBuiltins) {
-  const std::vector<std::string> names = builtin_spec_names();
-  ASSERT_FALSE(names.empty());
+TEST(SpecJsonTest, CommittedFilesAreCanonical) {
+  const std::vector<std::string> names = spec_names();
+  ASSERT_FALSE(names.empty()) << "no spec files under " << spec_dir();
   for (const std::string& name : names) {
     const std::string path = spec_path(name);
     SCOPED_TRACE(path);
-    const std::string committed = slurp(path);
-    ASSERT_FALSE(committed.empty()) << "missing committed spec file";
-    EXPECT_EQ(committed, spec_to_json(builtin_spec(name)).dump(2))
-        << "regenerate with: hpv_run --emit=" << name << " > " << path;
+    EXPECT_NO_THROW(check_canonical_spec_file(path));
+    EXPECT_EQ(load_spec_file(path).name, name);
   }
 }
 
-TEST(SpecJsonTest, CommittedFilesReload) {
-  for (const std::string& name : builtin_spec_names()) {
-    SCOPED_TRACE(name);
-    const RunSpec spec = load_spec_file(spec_path(name));
-    EXPECT_EQ(spec.name, name);
-    EXPECT_FALSE(spec.experiment.phases().empty());
-    // Full-document round trip: reload of the dump is byte-stable.
-    const std::string dumped = spec_to_json(spec).dump(2);
-    EXPECT_EQ(dumped,
-              spec_to_json(spec_from_json(json::Value::parse(dumped)))
-                  .dump(2));
+TEST(SpecJsonTest, CanonicalCheckRejectsNonCanonicalDocument) {
+  // Same spec as the committed fig2.json, written compactly: it loads to
+  // the identical RunSpec, but the file is not in canonical form.
+  const RunSpec committed = load_spec_file(spec_path("fig2"));
+  const std::string path = ::testing::TempDir() + "/noncanonical_fig2.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << spec_to_json(committed).dump();
+  }
+  EXPECT_EQ(canonical_spec_text(path), spec_to_json(committed).dump(2));
+  try {
+    check_canonical_spec_file(path);
+    FAIL() << "expected CheckError for a non-canonical spec file";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("hpv_run --emit="), std::string::npos) << what;
   }
 }
 
@@ -102,7 +98,7 @@ Experiment random_experiment(std::mt19937& rng, int index) {
     label += std::to_string(i);
     switch (kind_dist(rng)) {
       case 0:
-        spec.stabilize(small(rng), {}, label);
+        spec.stabilize(small(rng), label);
         break;
       case 1:
         spec.set_fanout(small(rng), label);
@@ -195,6 +191,9 @@ void expect_rejected(const std::string& text, const std::string& needle) {
 }
 
 TEST(SpecJsonTest, RejectsUnknownKeysNamingFullPath) {
+  expect_rejected(
+      R"({"name":"x","phases":[{"kind":"cycles","cycles":1,"batch":1}]})",
+      "phases[0].batch");
   expect_rejected(R"({"name":"x","network":{"nodez":10},"phases":[]})",
                   "network.nodez");
   expect_rejected(R"({"name":"x","phases":[],"phasez":[]})", "spec.phasez");
@@ -214,14 +213,45 @@ TEST(SpecJsonTest, RejectsOutOfRangeValues) {
                   "fraction");
   expect_rejected(R"({"name":"x","tcp":{"stats_port":70000},"phases":[]})",
                   "stats_port");
+  // Values that, if loaded, abort the process at the first use.
+  expect_rejected(
+      R"({"name":"x","network":{"gossip":{"graft_timeout_ms":-1}},)"
+      R"("phases":[]})",
+      "network.gossip.graft_timeout_ms");
+  expect_rejected(
+      R"({"name":"x","network":{"gossip":{"dedup_window":0}},"phases":[]})",
+      "network.gossip.dedup_window");
+  expect_rejected(
+      R"({"name":"x","network":{"gossip":{"cache_window":0}},"phases":[]})",
+      "network.gossip.cache_window");
+  // INT64_MAX / 1000 + 1: milliseconds() would overflow.
+  expect_rejected(
+      R"({"name":"x","network":{"gossip":)"
+      R"({"graft_timeout_ms":9223372036854776}},"phases":[]})",
+      "network.gossip.graft_timeout_ms");
+  for (const char* key :
+       {"join_settle_ms", "cycle_settle_ms", "leave_settle_ms",
+        "settle_window_ms", "broadcast_timeout_ms",
+        "broadcast_quiet_window_ms"}) {
+    const std::string k = key;
+    expect_rejected(R"({"name":"x","tcp":{")" + k + R"(":-5},"phases":[]})",
+                    "tcp." + k);
+    expect_rejected(R"({"name":"x","tcp":{")" + k +
+                        R"(":9223372036854775807},"phases":[]})",
+                    "tcp." + k);
+  }
+}
+
+TEST(SpecJsonTest, AcceptsMillisecondBounds) {
+  const RunSpec spec = spec_from_json(json::Value::parse(
+      R"({"name":"x","network":{"gossip":{"graft_timeout_ms":0}},)"
+      R"("tcp":{"broadcast_timeout_ms":9223372036854775},"phases":[]})"));
+  EXPECT_EQ(spec.net.gossip.graft_timeout, 0);
+  EXPECT_EQ(spec.tcp.broadcast_timeout, milliseconds(9223372036854775));
 }
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {
   expect_rejected(R"({"name":"x","phases":[{"kind":"warp"}]})", "kind");
-}
-
-TEST(SpecJsonTest, RejectsUnknownBuiltinName) {
-  EXPECT_THROW((void)builtin_spec("fig99"), CheckError);
 }
 
 }  // namespace

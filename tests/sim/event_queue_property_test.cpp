@@ -1,24 +1,19 @@
-// Property suite for the pluggable event scheduler (ISSUE 6 tentpole).
+// Property suite for the simulator's event scheduler.
 //
 // The contract under test: the CalendarQueue pops the exact same (at, seq)
-// sequence as the MinHeap for any workload the simulator can generate —
-// monotonic-in-time pushes, same-timestamp FIFO ties, far-horizon timers,
-// latency-band spikes that re-bucket the wheel mid-run, and bounded-drain
-// watermark scans. Bit-identical pop order is what makes
-// HPV_EVENT_QUEUE=heap|calendar an apples-to-apples A/B at a fixed seed.
-#include "hyparview/sim/event_queue.hpp"
+// sequence as a binary MinHeap (the oracle) for any workload the simulator
+// can generate — monotonic-in-time pushes, same-timestamp FIFO ties,
+// far-horizon timers, latency-band spikes that re-bucket the wheel mid-run,
+// and bounded-drain watermark scans.
+#include "hyparview/sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "hyparview/common/rng.hpp"
-#include "hyparview/sim/calendar_queue.hpp"
 #include "hyparview/sim/min_heap.hpp"
 #include "hyparview/sim/simulator.hpp"
 
@@ -30,7 +25,14 @@ struct Ev {
   std::uint64_t seq = 0;
 };
 
-using HeapQueue = MinHeap<Ev, EventQueue<Ev>::AtSeqLess>;
+struct AtSeqLess {
+  bool operator()(const Ev& a, const Ev& b) const {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
+};
+
+using HeapQueue = MinHeap<Ev, AtSeqLess>;
 
 /// Drives a calendar queue and a heap through one interleaved random
 /// workload, asserting the popped (at, seq) streams never diverge.
@@ -88,7 +90,7 @@ void run_mixed_trial(Rng& rng, Duration initial_band, int steps) {
       // Latency spike (set_latency fault injection): the calendar re-derives
       // its bucket width and re-buckets in place; order must survive.
       band = 1 + static_cast<Duration>(rng.below(200'000));
-      calendar.set_band(0, band);
+      calendar.set_band(band);
     } else {
       // Bounded-drain watermark accounting: for_each must see exactly the
       // pending set (same count of events at-or-above any watermark).
@@ -189,54 +191,6 @@ TEST(EventQueueProperty, WrapMigrationInstallsFarEventsInTime) {
   }
 }
 
-TEST(EventQueueProperty, WrapperDispatchesToConfiguredStructure) {
-  EventQueue<Ev> heap_q(EventQueueKind::kHeap, 1000);
-  EventQueue<Ev> cal_q(EventQueueKind::kCalendar, 1000);
-  EXPECT_STREQ(heap_q.name(), "heap");
-  EXPECT_STREQ(cal_q.name(), "calendar");
-  for (std::uint64_t seq = 0; seq < 100; ++seq) {
-    const auto at = static_cast<TimePoint>((seq * 7919) % 5000);
-    // Out-of-order pushes are fine before any pop (now == 0).
-    heap_q.push({at, seq});
-    cal_q.push({at, seq});
-  }
-  ASSERT_EQ(heap_q.size(), cal_q.size());
-  while (!heap_q.empty()) {
-    const Ev a = cal_q.pop();
-    const Ev b = heap_q.pop();
-    ASSERT_EQ(a.at, b.at);
-    ASSERT_EQ(a.seq, b.seq);
-  }
-}
-
-TEST(EventQueueProperty, EnvSelectionResolvesAndRejectsUnknown) {
-  const char* saved = std::getenv("HPV_EVENT_QUEUE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-
-  ::unsetenv("HPV_EVENT_QUEUE");
-  EXPECT_EQ(resolve_event_queue_kind(EventQueueKind::kAuto),
-            EventQueueKind::kCalendar);
-  ::setenv("HPV_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(resolve_event_queue_kind(EventQueueKind::kAuto),
-            EventQueueKind::kHeap);
-  // Explicit config wins over the env knob.
-  EXPECT_EQ(resolve_event_queue_kind(EventQueueKind::kCalendar),
-            EventQueueKind::kCalendar);
-  ::setenv("HPV_EVENT_QUEUE", "calendar", 1);
-  EXPECT_EQ(resolve_event_queue_kind(EventQueueKind::kAuto),
-            EventQueueKind::kCalendar);
-  // An unknown value must fail the run, not silently measure the wrong
-  // structure.
-  ::setenv("HPV_EVENT_QUEUE", "splay", 1);
-  EXPECT_THROW(resolve_event_queue_kind(EventQueueKind::kAuto), CheckError);
-
-  if (saved != nullptr) {
-    ::setenv("HPV_EVENT_QUEUE", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("HPV_EVENT_QUEUE");
-  }
-}
-
 /// Endpoint that relays every delivery to a pseudo-random peer a bounded
 /// number of times — enough traffic shape (fan-in ties, cascades) to catch
 /// an ordering divergence at the simulator level.
@@ -291,10 +245,9 @@ struct SimTrace {
 
 /// Runs one scripted relay workload — watermark drains, a latency spike, a
 /// crash — and returns every observable counter.
-SimTrace run_scripted_sim(EventQueueKind kind) {
+SimTrace run_scripted_sim() {
   constexpr std::uint32_t kNodes = 24;
   SimConfig config;
-  config.event_queue = kind;
   config.seed = 4242;
   Simulator sim(config);
 
@@ -319,7 +272,7 @@ SimTrace run_scripted_sim(EventQueueKind kind) {
     if (round == 2) sim.set_latency(milliseconds(5), milliseconds(40));
     if (round == 4) sim.crash(NodeId::from_index(3));
     // Alternate full drains with bounded watermark drains so both paths
-    // run on both structures.
+    // run.
     if (round % 2 == 0) {
       sim.run_until_quiescent();
     } else {
@@ -340,12 +293,21 @@ SimTrace run_scripted_sim(EventQueueKind kind) {
   return trace;
 }
 
-TEST(EventQueueProperty, SimulatorRunsBitIdenticalAcrossQueues) {
-  const SimTrace heap_trace = run_scripted_sim(EventQueueKind::kHeap);
-  const SimTrace calendar_trace = run_scripted_sim(EventQueueKind::kCalendar);
-  EXPECT_EQ(heap_trace, calendar_trace);
-  EXPECT_GT(heap_trace.events, 0u);
-  EXPECT_GT(heap_trace.delivered, 0u);
+TEST(EventQueueProperty, SimulatorMatchesHeapSchedulerTrace) {
+  // Every counter of the scripted run as the simulator produced it when it
+  // still ran on a MinHeap: the calendar-backed simulator must reproduce
+  // the heap's event order exactly, not merely be self-consistent.
+  const SimTrace trace = run_scripted_sim();
+  EXPECT_EQ(trace.events, 665u);
+  EXPECT_EQ(trace.sent, 664u);
+  EXPECT_EQ(trace.delivered, 657u);
+  EXPECT_EQ(trace.bytes, 664u);
+  EXPECT_EQ(trace.final_now, 740007);
+  EXPECT_EQ(trace.per_node_deliveries,
+            (std::vector<std::uint64_t>{28, 27, 22, 25, 27, 27, 22, 20,
+                                        26, 27, 32, 24, 33, 35, 26, 29,
+                                        21, 31, 31, 31, 20, 31, 33, 29}));
+  EXPECT_EQ(trace, run_scripted_sim());
 }
 
 }  // namespace

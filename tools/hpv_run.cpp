@@ -1,16 +1,17 @@
 // hpv_run — run a JSON experiment spec on either backend.
 //
-//   hpv_run <spec.json | builtin-name> [...]   run each spec in order
+//   hpv_run <spec.json | spec-name> [...]   run each spec in order
 //     --backend=sim|tcp    override the spec's default substrate
 //     --stats-port=N       override the TCP stats endpoint port (-1 off,
 //                          0 ephemeral; the bound port is printed)
 //     --out=<path>         BENCH-style JSON output path (default
 //                          BENCH_<spec-name>.json in the working directory)
-//     --validate           schema-check the specs and exit (no runs) — the
+//     --validate           schema-check the specs and check each file is in
+//                          canonical form, then exit (no runs) — the
 //                          `specs` CTest target runs this over specs/
-//     --emit=<name>        print the canonical builtin spec as JSON
-//                          (regenerates a committed specs/<name>.json)
-//     --list               list the builtin spec names and exit
+//     --emit=<name|path>   print the spec in canonical form
+//                          (harness::canonical_spec_text)
+//     --list               list the spec names in the spec directory
 //
 // A positional argument containing '/' or ending in ".json" is a file path;
 // anything else resolves through spec_path() (specs/<name>.json, HPV_SPEC_DIR
@@ -41,6 +42,10 @@ bool looks_like_path(const std::string& arg) {
   const std::string suffix = ".json";
   return arg.size() >= suffix.size() &&
          arg.compare(arg.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+std::string resolve_spec(const std::string& arg) {
+  return looks_like_path(arg) ? arg : harness::spec_path(arg);
 }
 
 /// The BENCH_<name>.json record the bench drivers emit, fed from the
@@ -137,7 +142,7 @@ int run_main(int argc, char** argv) {
                     "list"});
 
   if (args.has("list")) {
-    for (const std::string& name : harness::builtin_spec_names()) {
+    for (const std::string& name : harness::spec_names()) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
@@ -146,17 +151,16 @@ int run_main(int argc, char** argv) {
   if (args.has("emit")) {
     const std::string name = args.get("emit", "");
     HPV_CHECK_THROW(!name.empty(), "hpv_run: --emit needs a spec name");
-    std::fputs(
-        harness::spec_to_json(harness::builtin_spec(name)).dump(2).c_str(),
-        stdout);
+    std::fputs(harness::canonical_spec_text(resolve_spec(name)).c_str(),
+               stdout);
     return 0;
   }
 
   if (args.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: hpv_run <spec.json | builtin-name> [...]\n"
+                 "usage: hpv_run <spec.json | spec-name> [...]\n"
                  "  [--backend=sim|tcp] [--stats-port=N] [--out=path]\n"
-                 "  [--validate] [--emit=<name>] [--list]\n");
+                 "  [--validate] [--emit=<name|path>] [--list]\n");
     return 2;
   }
 
@@ -170,10 +174,10 @@ int run_main(int argc, char** argv) {
                   "hpv_run: --stats-port expects -1..65535");
 
   for (const std::string& arg : args.positional()) {
-    const std::string path =
-        looks_like_path(arg) ? arg : harness::spec_path(arg);
+    const std::string path = resolve_spec(arg);
     const harness::RunSpec spec = harness::load_spec_file(path);
     if (args.has("validate")) {
+      harness::check_canonical_spec_file(path);
       std::printf("%s: OK (%s, %zu phases)\n", path.c_str(),
                   spec.name.c_str(), spec.experiment.phases().size());
       continue;
